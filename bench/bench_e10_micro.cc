@@ -15,6 +15,7 @@
 #include "bench_util.h"
 #include "ivr/obs/metrics.h"
 #include "ivr/obs/trace.h"
+#include "ivr/profile/profile_reranker.h"
 #include "ivr/retrieval/rocchio.h"
 
 namespace ivr {
@@ -108,6 +109,55 @@ void BM_VisualQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VisualQuery)->Unit(benchmark::kMicrosecond);
+
+void BM_FusedSearch(benchmark::State& state) {
+  // Text + 2 visual examples at k=200 over the default 1000-entry pool,
+  // uncached: the flat fuse-and-rank pass. Arg 1 adds the profile
+  // re-rank (AdaptiveEngine::Search with a registered profile).
+  const GeneratedCollection& g = Fixture();
+  const RetrievalEngine& engine = Engine();
+  const SearchTopic& topic = g.topics.topics[0];
+  Query query;
+  query.text = topic.title;
+  query.examples = {topic.examples.at(0), topic.examples.at(1)};
+  UserProfile profile("micro");
+  profile.SetInterest(topic.target_topic, 1.0);
+  AdaptiveOptions options;
+  options.use_implicit = false;
+  options.use_profile = true;
+  options.candidate_pool = engine.options().candidate_pool;
+  const AdaptiveEngine adaptive(engine, options, &profile);
+  SessionContext ctx = adaptive.MakeContext("micro", "micro");
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      benchmark::DoNotOptimize(engine.Search(query, 200));
+    } else {
+      benchmark::DoNotOptimize(adaptive.Search(&ctx, query, 200));
+    }
+  }
+}
+BENCHMARK(BM_FusedSearch)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_ProfileRerank(benchmark::State& state) {
+  // The list-at-a-time re-rank (the reference the fused pass matches):
+  // RerankWithProfile over a 1000-entry list, then the top 200.
+  const GeneratedCollection& g = Fixture();
+  const RetrievalEngine& engine = Engine();
+  const SearchTopic& topic = g.topics.topics[0];
+  const ResultList list = engine.SearchVisual(topic.examples.at(0), 1000);
+  UserProfile profile("micro");
+  profile.SetInterest(topic.target_topic, 1.0);
+  const ShotLookup lookup = [&engine](ShotId id) {
+    return engine.FindShot(id);
+  };
+  for (auto _ : state) {
+    ResultList reranked = RerankWithProfile(list, profile, lookup);
+    reranked.Truncate(200);
+    benchmark::DoNotOptimize(reranked);
+  }
+  state.counters["entries"] = static_cast<double>(list.size());
+}
+BENCHMARK(BM_ProfileRerank)->Unit(benchmark::kMicrosecond);
 
 void BM_RocchioExpansion(benchmark::State& state) {
   const GeneratedCollection& g = Fixture();

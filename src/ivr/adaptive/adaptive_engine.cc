@@ -5,8 +5,6 @@
 #include "ivr/core/fault_injection.h"
 #include "ivr/core/logging.h"
 #include "ivr/obs/trace.h"
-#include "ivr/profile/profile_reranker.h"
-#include "ivr/retrieval/fusion.h"
 
 namespace ivr {
 namespace {
@@ -133,12 +131,12 @@ ResultList AdaptiveEngine::Search(SessionContext* ctx, const Query& query,
   obs::ScopedSpan span("adaptive.search");
   const obs::Stopwatch total;
   metrics_.searches->Inc();
-  std::vector<ResultList> lists;
-  std::vector<double> weights;
-
+  FusionRequest request;
+  request.candidate_pool = options_.candidate_pool;
   FaultInjector& faults = FaultInjector::Global();
+  TermQuery terms;
   if (query.HasText()) {
-    TermQuery terms = engine_->ParseText(query.text);
+    terms = engine_->ParseText(query.text);
     if (options_.use_implicit) {
       // A faulted feedback backend degrades to the unexpanded query —
       // the user still gets an answer, just a non-adapted one.
@@ -157,26 +155,14 @@ ResultList AdaptiveEngine::Search(SessionContext* ctx, const Query& query,
         }
       }
     }
-    lists.push_back(engine_->SearchTerms(terms, options_.candidate_pool));
-    weights.push_back(engine_->options().text_weight);
+    request.text = &terms;
   }
-  if (query.HasExamples()) {
-    std::vector<ResultList> visual;
-    visual.reserve(query.examples.size());
-    for (const ColorHistogram& example : query.examples) {
-      visual.push_back(
-          engine_->SearchVisual(example, options_.candidate_pool));
-    }
-    lists.push_back(CombSum(visual));
-    weights.push_back(engine_->options().visual_weight);
-  }
-  if (lists.empty()) {
+  request.examples = &query.examples;
+  request.concepts = &query.concepts;
+  if (!query.HasText() && !query.HasExamples() && !query.HasConcepts()) {
     metrics_.search_us->Record(total.ElapsedUs());
     return ResultList();
   }
-
-  ResultList fused = lists.size() == 1 ? std::move(lists.front())
-                                       : WeightedLinear(lists, weights);
 
   const UserProfile* profile = ProfileFor(*ctx);
   if (options_.use_profile && profile != nullptr) {
@@ -184,19 +170,20 @@ ResultList AdaptiveEngine::Search(SessionContext* ctx, const Query& query,
       ++ctx->profile_reranks_skipped;
       metrics_.profile_reranks_skipped->Inc();
     } else {
-      ProfileRerankOptions rerank;
-      rerank.lambda = options_.profile_lambda;
       const RetrievalEngine* engine = engine_;
-      fused = RerankWithProfile(
-          fused, *profile,
-          ShotLookup([engine](ShotId id) { return engine->FindShot(id); }),
-          rerank);
+      request.rerank_lambda = options_.profile_lambda;
+      request.affinity = [engine, affinity = ProfileAffinity(*profile)](
+                             ShotId id) {
+        const Shot* shot = engine->FindShot(id);
+        return shot == nullptr ? 0.0 : affinity(*shot);
+      };
       metrics_.profile_reranks->Inc();
     }
   }
-  fused.Truncate(k);
+  FusedRanking fused = engine_->FuseAndRank(request, k);
+  if (fused.degraded) span.Annotate("degraded", "true");
   metrics_.search_us->Record(total.ElapsedUs());
-  return fused;
+  return std::move(fused.results);
 }
 
 HealthReport AdaptiveEngine::Health(const SessionContext& ctx) const {

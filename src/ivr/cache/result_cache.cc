@@ -30,7 +30,6 @@ ResultCache::ResultCache(ResultCacheOptions options)
   metrics_.evictions = registry.GetCounter("cache.evictions");
   metrics_.rejected_inserts = registry.GetCounter("cache.rejected_inserts");
   metrics_.lookup_faults = registry.GetCounter("cache.lookup_faults");
-  metrics_.invalidations = registry.GetCounter("cache.invalidations");
   metrics_.bytes = registry.GetGauge("cache.bytes");
   metrics_.entries = registry.GetGauge("cache.entries");
   metrics_.lookup_us = registry.GetHistogram("cache.lookup_us");
@@ -48,7 +47,8 @@ size_t ResultCache::EntryBytes(const std::string& key,
   return key.size() + value.MemoryBytes() + kEntryOverheadBytes;
 }
 
-bool ResultCache::Lookup(const std::string& key, ResultList* out) {
+bool ResultCache::Lookup(const std::string& key, ResultList* out,
+                         size_t max_entries) {
   const obs::Stopwatch watch;
   FaultInjector& faults = FaultInjector::Global();
   if (faults.enabled() && faults.ShouldFail("cache.lookup")) {
@@ -68,7 +68,13 @@ bool ResultCache::Lookup(const std::string& key, ResultList* out) {
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      *out = it->second->value;
+      const std::vector<RankedShot>& items = it->second->value.items();
+      if (items.size() <= max_entries) {
+        *out = it->second->value;
+      } else {
+        *out = ResultList::FromRanked(std::vector<RankedShot>(
+            items.begin(), items.begin() + max_entries));
+      }
       hit = true;
     }
   }
@@ -83,8 +89,7 @@ bool ResultCache::Lookup(const std::string& key, ResultList* out) {
   return hit;
 }
 
-void ResultCache::Insert(const std::string& key, const ResultList& value,
-                         uint64_t generation) {
+void ResultCache::Insert(const std::string& key, const ResultList& value) {
   const obs::Stopwatch watch;
   const size_t bytes = EntryBytes(key, value);
   if (bytes > shard_budget_) {
@@ -97,72 +102,40 @@ void ResultCache::Insert(const std::string& key, const ResultList& value,
   uint64_t evicted = 0;
   int64_t bytes_delta = 0;
   int64_t entries_delta = 0;
-  bool inserted = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    // Checked under the shard lock: InvalidateAll() bumps the generation
-    // before clearing shards, so a compute that started pre-invalidation
-    // can never slip a stale value in after its shard was cleared.
-    if (generation_.load(std::memory_order_acquire) == generation) {
-      auto it = shard.index.find(key);
-      if (it != shard.index.end()) {
-        bytes_delta -= static_cast<int64_t>(it->second->bytes);
-        shard.bytes -= it->second->bytes;
-        shard.lru.erase(it->second);
-        shard.index.erase(it);
-        --entries_delta;
-      }
-      while (!shard.lru.empty() && shard.bytes + bytes > shard_budget_) {
-        const Entry& victim = shard.lru.back();
-        bytes_delta -= static_cast<int64_t>(victim.bytes);
-        shard.bytes -= victim.bytes;
-        shard.index.erase(victim.key);
-        shard.lru.pop_back();
-        --entries_delta;
-        ++evicted;
-      }
-      shard.lru.push_front(Entry{key, value, bytes});
-      shard.index.emplace(key, shard.lru.begin());
-      shard.bytes += bytes;
-      bytes_delta += static_cast<int64_t>(bytes);
-      ++entries_delta;
-      inserted = true;
+    auto it = shard.index.find(key);
+    if (it != shard.index.end()) {
+      bytes_delta -= static_cast<int64_t>(it->second->bytes);
+      shard.bytes -= it->second->bytes;
+      shard.lru.erase(it->second);
+      shard.index.erase(it);
+      --entries_delta;
     }
-  }
-  if (inserted) {
-    insertions_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.insertions->Inc();
-    if (evicted > 0) {
-      evictions_.fetch_add(evicted, std::memory_order_relaxed);
-      metrics_.evictions->Inc(evicted);
+    while (!shard.lru.empty() && shard.bytes + bytes > shard_budget_) {
+      const Entry& victim = shard.lru.back();
+      bytes_delta -= static_cast<int64_t>(victim.bytes);
+      shard.bytes -= victim.bytes;
+      shard.index.erase(victim.key);
+      shard.lru.pop_back();
+      --entries_delta;
+      ++evicted;
     }
-    metrics_.bytes->Add(bytes_delta);
-    metrics_.entries->Add(entries_delta);
-  } else {
-    rejected_inserts_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.rejected_inserts->Inc();
+    shard.lru.push_front(Entry{key, value, bytes});
+    shard.index.emplace(key, shard.lru.begin());
+    shard.bytes += bytes;
+    bytes_delta += static_cast<int64_t>(bytes);
+    ++entries_delta;
   }
-  metrics_.insert_us->Record(watch.ElapsedUs());
-}
-
-void ResultCache::InvalidateAll() {
-  // Bump first: an in-flight compute that snapshotted the old generation
-  // must fail its Insert even if it runs after the clear below.
-  generation_.fetch_add(1, std::memory_order_acq_rel);
-  int64_t bytes_delta = 0;
-  int64_t entries_delta = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    bytes_delta -= static_cast<int64_t>(shard->bytes);
-    entries_delta -= static_cast<int64_t>(shard->lru.size());
-    shard->lru.clear();
-    shard->index.clear();
-    shard->bytes = 0;
+  insertions_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.insertions->Inc();
+  if (evicted > 0) {
+    evictions_.fetch_add(evicted, std::memory_order_relaxed);
+    metrics_.evictions->Inc(evicted);
   }
-  invalidations_.fetch_add(1, std::memory_order_relaxed);
-  metrics_.invalidations->Inc();
   metrics_.bytes->Add(bytes_delta);
   metrics_.entries->Add(entries_delta);
+  metrics_.insert_us->Record(watch.ElapsedUs());
 }
 
 ResultCacheStats ResultCache::Stats() const {
@@ -174,7 +147,6 @@ ResultCacheStats ResultCache::Stats() const {
   stats.rejected_inserts =
       rejected_inserts_.load(std::memory_order_relaxed);
   stats.lookup_faults = lookup_faults_.load(std::memory_order_relaxed);
-  stats.invalidations = invalidations_.load(std::memory_order_relaxed);
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     stats.entries += shard->lru.size();

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -35,13 +36,12 @@ struct ResultCacheStats {
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
-  /// Inserts dropped because their generation was stale (invalidated
-  /// mid-compute) or the value alone exceeds a shard's byte budget.
+  /// Inserts dropped because the value alone exceeds a shard's byte
+  /// budget.
   uint64_t rejected_inserts = 0;
   /// Lookups that failed through the "cache.lookup" fault-injection site
   /// (each degraded to an uncached search; results stay correct).
   uint64_t lookup_faults = 0;
-  uint64_t invalidations = 0;
   uint64_t entries = 0;
   uint64_t bytes = 0;
 };
@@ -52,11 +52,11 @@ struct ResultCacheStats {
 /// hit can only ever return the exact ResultList that was inserted:
 /// cached and uncached serving are bit-identical by construction.
 ///
-/// Invalidation is generation-based: callers snapshot generation() before
-/// computing a value and pass it to Insert(), which drops the value when
-/// InvalidateAll() ran in between (collection reload / concept rebuild).
-/// Session feedback never invalidates — adaptive re-ranking happens above
-/// the engine, on top of the cached base ranking.
+/// Nothing is ever invalidated: a live collection's engines prefix their
+/// keys with a segment-set epoch (RetrievalEngine::SetCacheKeyEpoch), so a
+/// new generation simply stops hitting the old entries and LRU ages them
+/// out. Session feedback never invalidates either — adaptive re-ranking
+/// happens above the engine, on top of the cached base ranking.
 ///
 /// Thread safety: all methods are safe to call concurrently. Each shard
 /// has its own mutex; a key's shard is fixed by a hash of its bytes (the
@@ -68,28 +68,18 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Current invalidation generation. Snapshot before computing a value
-  /// that will be inserted.
-  uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
-
-  /// Copies the cached value for `key` into `*out` and refreshes its LRU
-  /// position. False on miss — or when the "cache.lookup" fault site
-  /// fires, which degrades the call to a miss (the caller recomputes;
-  /// served results stay correct).
-  bool Lookup(const std::string& key, ResultList* out);
+  /// Copies the cached value for `key` — its first `max_entries` entries
+  /// — into `*out` and refreshes its LRU position. False on miss — or
+  /// when the "cache.lookup" fault site fires, which degrades the call to
+  /// a miss (the caller recomputes; served results stay correct).
+  bool Lookup(const std::string& key, ResultList* out,
+              size_t max_entries = std::numeric_limits<size_t>::max());
 
   /// Inserts a copy of `value`, evicting least-recently-used entries in
-  /// the key's shard until it fits. Dropped (rejected_inserts) when
-  /// `generation` is stale or the entry alone exceeds the shard budget.
-  /// Re-inserting an existing key replaces its value.
-  void Insert(const std::string& key, const ResultList& value,
-              uint64_t generation);
-
-  /// Drops every entry and bumps the generation, so in-flight computes
-  /// started before the call cannot re-populate stale values.
-  void InvalidateAll();
+  /// the key's shard until it fits. Dropped (rejected_inserts) when the
+  /// entry alone exceeds the shard budget. Re-inserting an existing key
+  /// replaces its value.
+  void Insert(const std::string& key, const ResultList& value);
 
   ResultCacheStats Stats() const;
 
@@ -115,7 +105,6 @@ class ResultCache {
   ResultCacheOptions options_;
   size_t shard_budget_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> generation_{0};
 
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
@@ -123,7 +112,6 @@ class ResultCache {
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> rejected_inserts_{0};
   std::atomic<uint64_t> lookup_faults_{0};
-  std::atomic<uint64_t> invalidations_{0};
 
   /// Registry pointers resolved once at construction (obs contract).
   struct Metrics {
@@ -133,7 +121,6 @@ class ResultCache {
     obs::Counter* evictions;
     obs::Counter* rejected_inserts;
     obs::Counter* lookup_faults;
-    obs::Counter* invalidations;
     obs::Gauge* bytes;
     obs::Gauge* entries;
     obs::LatencyHistogram* lookup_us;

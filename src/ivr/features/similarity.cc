@@ -1,6 +1,7 @@
 #include "ivr/features/similarity.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace ivr {
 
@@ -46,6 +47,66 @@ std::vector<double> VisualSearcher::ScoreAll(
     scores.push_back(ComputeSimilarity(kind_, query, h));
   }
   return scores;
+}
+
+namespace {
+
+/// Entries scored side by side: their sums are independent dependency
+/// chains, so the adds overlap instead of waiting on one another.
+constexpr size_t kLanes = 8;
+
+/// Sums term(query[j], entry[j]) over the bins of kLanes entries at once,
+/// each sum starting at 0.0 and running in bin order like the scalar
+/// HistogramIntersection / L1Distance loops.
+template <typename Term>
+void SumLanes(const ColorHistogram& query, const ColorHistogram* entries,
+              Term term, double* out) {
+  const double* q = query.bins().data();
+  const double* b[kLanes];
+  double sum[kLanes];
+  for (size_t l = 0; l < kLanes; ++l) {
+    b[l] = entries[l].bins().data();
+    sum[l] = 0.0;
+  }
+  for (size_t j = 0; j < query.size(); ++j) {
+    const double a = q[j];
+#pragma GCC unroll 8
+    for (size_t l = 0; l < kLanes; ++l) sum[l] += term(a, b[l][j]);
+  }
+  for (size_t l = 0; l < kLanes; ++l) out[l] = sum[l];
+}
+
+}  // namespace
+
+void VisualSearcher::ScoreAllInto(const ColorHistogram& query,
+                                  double* out) const {
+  const size_t n = corpus_.size();
+  size_t i = 0;
+  if (kind_ != VisualSimilarity::kCosine) {
+    for (; i + kLanes <= n; i += kLanes) {
+      const ColorHistogram* entries = &corpus_[i];
+      bool same_size = true;
+      for (size_t l = 0; l < kLanes; ++l) {
+        same_size = same_size && entries[l].size() == query.size();
+      }
+      if (!same_size) {
+        for (size_t l = 0; l < kLanes; ++l) {
+          out[i + l] = ComputeSimilarity(kind_, query, entries[l]);
+        }
+      } else if (kind_ == VisualSimilarity::kHistogramIntersection) {
+        SumLanes(query, entries,
+                 [](double a, double b) { return std::min(a, b); }, out + i);
+      } else {
+        SumLanes(query, entries,
+                 [](double a, double b) { return std::fabs(a - b); },
+                 out + i);
+        for (size_t l = 0; l < kLanes; ++l) {
+          out[i + l] = 1.0 / (1.0 + out[i + l]);
+        }
+      }
+    }
+  }
+  for (; i < n; ++i) out[i] = ComputeSimilarity(kind_, query, corpus_[i]);
 }
 
 }  // namespace ivr

@@ -42,6 +42,11 @@ class VisualSearcher {
   /// Scores every corpus entry against the query (index-aligned).
   std::vector<double> ScoreAll(const ColorHistogram& query) const;
 
+  /// Same, into out[0..corpus size). Bit-identical to ComputeSimilarity
+  /// per entry: each entry's sum runs in bin order, and several entries'
+  /// independent sums are interleaved so they overlap in the pipeline.
+  void ScoreAllInto(const ColorHistogram& query, double* out) const;
+
  private:
   const std::vector<ColorHistogram>& corpus_;
   VisualSimilarity kind_;

@@ -224,7 +224,7 @@ HttpServerStats HttpServer::stats() const {
   out.accept_faults = stats_.accept_faults.load(std::memory_order_relaxed);
   out.read_faults = stats_.read_faults.load(std::memory_order_relaxed);
   out.write_faults = stats_.write_faults.load(std::memory_order_relaxed);
-  out.idle_closed = stats_.idle_closed.load(std::memory_order_relaxed);
+  out.idle_closed = stats_.idle_closed.load(std::memory_order_acquire);
   out.overload_closed =
       stats_.overload_closed.load(std::memory_order_relaxed);
   out.requests_abandoned =
@@ -532,8 +532,10 @@ void HttpServer::SweepIdle() {
     if (now_us - conn->last_active_us > limit_us) victims.push_back(id);
   }
   for (uint64_t id : victims) {
-    stats_.idle_closed.fetch_add(1, std::memory_order_relaxed);
     CloseConnection(id);
+    // Counted after the close (release, read with acquire in stats()): a
+    // reader that sees the reap also sees connections_active drop.
+    stats_.idle_closed.fetch_add(1, std::memory_order_release);
   }
 }
 

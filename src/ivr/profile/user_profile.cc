@@ -49,20 +49,56 @@ void UserProfile::Decay(double factor) {
   }
 }
 
-double UserProfile::ShotAffinity(const Shot& shot) const {
+namespace {
+
+double InterestTotal(const std::unordered_map<TopicLabel, double>& interests) {
   double total = 0.0;
-  for (const auto& [topic, w] : interests_) {
+  for (const auto& [topic, w] : interests) {
     (void)topic;
     total += w;
   }
+  return total;
+}
+
+/// The affinity formula, over any interest lookup.
+template <typename InterestFn>
+double Affinity(const Shot& shot, double total, InterestFn interest) {
   if (total <= 0.0) return 0.0;
-  double affinity = Interest(shot.primary_topic);
+  double affinity = interest(shot.primary_topic);
   for (size_t c = 0; c < shot.concepts.size(); ++c) {
     if (shot.concepts[c] && static_cast<TopicLabel>(c) != shot.primary_topic) {
-      affinity += 0.5 * Interest(static_cast<TopicLabel>(c));
+      affinity += 0.5 * interest(static_cast<TopicLabel>(c));
     }
   }
   return std::min(affinity / total, 1.0);
+}
+
+}  // namespace
+
+double UserProfile::ShotAffinity(const Shot& shot) const {
+  return Affinity(shot, InterestTotal(interests_),
+                  [this](TopicLabel topic) { return Interest(topic); });
+}
+
+ProfileAffinity::ProfileAffinity(const UserProfile& profile)
+    : total_(InterestTotal(profile.interests())) {
+  for (const auto& [topic, w] : profile.interests()) {
+    if (topic >= kDenseTopics) {
+      sparse_[topic] = w;
+      continue;
+    }
+    if (topic >= dense_.size()) dense_.resize(topic + 1, 0.0);
+    dense_[topic] = w;
+  }
+}
+
+double ProfileAffinity::operator()(const Shot& shot) const {
+  return Affinity(shot, total_, [this](TopicLabel topic) {
+    if (topic < dense_.size()) return dense_[topic];
+    if (topic < kDenseTopics) return 0.0;
+    const auto it = sparse_.find(topic);
+    return it == sparse_.end() ? 0.0 : it->second;
+  });
 }
 
 std::string UserProfile::Serialize() const {

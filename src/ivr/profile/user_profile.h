@@ -3,6 +3,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "ivr/core/result.h"
 #include "ivr/video/types.h"
@@ -67,6 +68,26 @@ class UserProfile {
   std::string user_id_;
   Demographics demographics_;
   std::unordered_map<TopicLabel, double> interests_;
+};
+
+/// UserProfile::ShotAffinity for scoring many shots against one profile:
+/// the interest total and a dense per-topic interest table are built once
+/// instead of per shot. Bit-identical to ShotAffinity; the profile may
+/// change or go away afterwards.
+class ProfileAffinity {
+ public:
+  explicit ProfileAffinity(const UserProfile& profile);
+
+  double operator()(const Shot& shot) const;
+
+ private:
+  /// Topics below this index go in the dense table; larger ids (a
+  /// hostile or odd profile file) stay in a map.
+  static constexpr TopicLabel kDenseTopics = 1024;
+
+  std::vector<double> dense_;  // by TopicLabel; 0 when undeclared
+  std::unordered_map<TopicLabel, double> sparse_;
+  double total_ = 0.0;
 };
 
 }  // namespace ivr

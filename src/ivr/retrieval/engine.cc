@@ -9,7 +9,6 @@
 #include "ivr/core/thread_pool.h"
 #include "ivr/index/score_accumulator.h"
 #include "ivr/obs/trace.h"
-#include "ivr/retrieval/fusion.h"
 
 namespace ivr {
 namespace {
@@ -244,10 +243,8 @@ ResultList RetrievalEngine::Search(const Query& query, size_t k,
       cache != nullptr &&
       (query.HasText() || query.HasExamples() || query.HasConcepts());
   std::string cache_key;
-  uint64_t cache_generation = 0;
   if (cacheable) {
     cache_key = EpochKey(FusedKey(query, terms, k, options_));
-    cache_generation = cache->generation();
     ResultList cached;
     if (cache->Lookup(cache_key, &cached)) {
       span.Annotate("cache", "hit");
@@ -255,9 +252,8 @@ ResultList RetrievalEngine::Search(const Query& query, size_t k,
       return cached;
     }
   }
-  std::vector<ResultList> lists;
-  std::vector<double> weights;
-  bool degraded = false;
+  FusionRequest request;
+  request.candidate_pool = options_.candidate_pool;
   if (query.HasText()) {
     // "engine.text" stands in for any fault on the posting-read path:
     // the modality is served empty-handed rather than crashing the query.
@@ -265,12 +261,9 @@ ResultList RetrievalEngine::Search(const Query& query, size_t k,
       text_faults_.fetch_add(1, std::memory_order_relaxed);
       metrics_.text_faults->Inc();
       if (diagnostics != nullptr) diagnostics->text_faulted = true;
-      degraded = true;
+      request.degraded = true;
     } else {
-      const obs::Stopwatch modality;
-      lists.push_back(SearchTerms(terms, options_.candidate_pool));
-      weights.push_back(options_.text_weight);
-      metrics_.text_us->Record(modality.ElapsedUs());
+      request.text = &terms;
     }
   }
   if (query.HasExamples()) {
@@ -278,65 +271,32 @@ ResultList RetrievalEngine::Search(const Query& query, size_t k,
       visual_faults_.fetch_add(1, std::memory_order_relaxed);
       metrics_.visual_faults->Inc();
       if (diagnostics != nullptr) diagnostics->visual_faulted = true;
-      degraded = true;
+      request.degraded = true;
     } else {
-      const obs::Stopwatch modality;
-      // Average the evidence over all examples.
-      std::vector<ResultList> visual;
-      visual.reserve(query.examples.size());
-      for (const ColorHistogram& example : query.examples) {
-        visual.push_back(SearchVisual(example, options_.candidate_pool));
-      }
-      lists.push_back(CombSum(visual));
-      weights.push_back(options_.visual_weight);
-      metrics_.visual_us->Record(modality.ElapsedUs());
+      request.examples = &query.examples;
     }
   }
+  // A concept query on a concept-less engine is dropped (and counted) by
+  // FuseAndRank; only a servable concept modality can fault.
   if (query.HasConcepts()) {
-    if (!concepts_available_) {
-      // Degrade loudly, not silently: the query asked for a modality this
-      // engine cannot serve, which biases any evaluation built on it.
-      concepts_dropped_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.concepts_dropped->Inc();
-      if (diagnostics != nullptr) diagnostics->concepts_dropped = true;
-      degraded = true;
-      if (!degradation_logged_.exchange(true, std::memory_order_relaxed)) {
-        IVR_LOG(Warning)
-            << "concept query on an engine without a concept index; "
-               "concept evidence dropped from fusion (logged once; see "
-               "num_degraded_queries())";
-      }
-    } else if (chaos && faults.ShouldFail("engine.concept")) {
+    if (concepts_available_ && chaos && faults.ShouldFail("engine.concept")) {
       concept_faults_.fetch_add(1, std::memory_order_relaxed);
       metrics_.concept_faults->Inc();
       if (diagnostics != nullptr) diagnostics->concepts_faulted = true;
-      degraded = true;
+      request.degraded = true;
     } else {
-      const obs::Stopwatch modality;
-      lists.push_back(
-          SearchConceptsMerged(query.concepts, options_.candidate_pool));
-      weights.push_back(options_.concept_weight);
-      metrics_.concept_us->Record(modality.ElapsedUs());
+      request.concepts = &query.concepts;
     }
   }
-  if (degraded) {
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.degraded_queries->Inc();
-    span.Annotate("degraded", "true");
-  }
-  ResultList fused;
-  if (!lists.empty()) {
-    fused = lists.size() == 1 ? std::move(lists.front())
-                              : WeightedLinear(lists, weights);
-    fused.Truncate(k);
-  }
+  FusedRanking fused = FuseAndRank(request, k, diagnostics);
+  if (fused.degraded) span.Annotate("degraded", "true");
   // Degraded rankings are transient (a fault fired on this call); caching
   // one would keep serving it after the fault cleared.
-  if (cacheable && !degraded) {
-    cache->Insert(cache_key, fused, cache_generation);
+  if (cacheable && !fused.degraded) {
+    cache->Insert(cache_key, fused.results);
   }
   metrics_.search_us->Record(total.ElapsedUs());
-  return fused;
+  return std::move(fused.results);
 }
 
 std::vector<ResultList> RetrievalEngine::BatchSearch(
@@ -402,43 +362,49 @@ Result<ResultList> RetrievalEngine::SearchConcepts(
   }
   ResultCache* const cache = cache_.get();
   std::string key;
-  uint64_t generation = 0;
   if (cache != nullptr && !concepts.empty()) {
     key = EpochKey(ConceptsKey(concepts, k, options_.detector_seed));
-    generation = cache->generation();
     ResultList cached;
     if (cache->Lookup(key, &cached)) return cached;
   }
   ResultList out = SearchConceptsMerged(concepts, k);
   if (cache != nullptr && !concepts.empty()) {
-    cache->Insert(key, out, generation);
+    cache->Insert(key, out);
   }
   return out;
 }
 
 ResultList RetrievalEngine::SearchTerms(const TermQuery& query,
                                         size_t k) const {
+  return SearchTermsPrefix(query, k, k);
+}
+
+ResultList RetrievalEngine::SearchTermsPrefix(const TermQuery& query,
+                                              size_t k, size_t keep) const {
   ResultCache* const cache = cache_.get();
   std::string key;
-  uint64_t generation = 0;
   if (cache != nullptr && !query.empty()) {
     key = EpochKey(TermsKey(query, k, options_.scorer));
-    generation = cache->generation();
     ResultList cached;
-    if (cache->Lookup(key, &cached)) return cached;
+    if (cache->Lookup(key, &cached, keep)) return cached;
   }
   // One flat accumulator per thread, reused across queries: steady-state
   // text search allocates nothing and stays safe under BatchSearch and
   // parallel session sweeps.
   static thread_local ScoreAccumulator accum;
   const Searcher searcher(index_segments_, *scorer_);
-  ResultList out;
-  for (const SearchHit& hit : searcher.Search(query, k, &accum)) {
-    out.Add(static_cast<ShotId>(hit.doc), hit.score);
+  const std::vector<SearchHit> hits = searcher.Search(query, k, &accum);
+  std::vector<RankedShot> ranked;
+  ranked.reserve(hits.size());
+  for (const SearchHit& hit : hits) {
+    ranked.push_back(RankedShot{static_cast<ShotId>(hit.doc), hit.score});
   }
+  // Hits come ranked (score desc, DocId asc) and unique.
+  ResultList out = ResultList::FromRanked(std::move(ranked));
   if (cache != nullptr && !query.empty()) {
-    cache->Insert(key, out, generation);
+    cache->Insert(key, out);
   }
+  out.Truncate(keep);
   return out;
 }
 
@@ -446,10 +412,8 @@ ResultList RetrievalEngine::SearchVisual(const ColorHistogram& example,
                                          size_t k) const {
   ResultCache* const cache = cache_.get();
   std::string key;
-  uint64_t generation = 0;
   if (cache != nullptr) {
     key = EpochKey(VisualKey(example, k, options_.visual_similarity));
-    generation = cache->generation();
     ResultList cached;
     if (cache->Lookup(key, &cached)) return cached;
   }
@@ -479,7 +443,7 @@ ResultList RetrievalEngine::SearchVisual(const ColorHistogram& example,
     out.Truncate(k);
   }
   if (cache != nullptr) {
-    cache->Insert(key, out, generation);
+    cache->Insert(key, out);
   }
   return out;
 }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -67,6 +68,33 @@ struct SearchDiagnostics {
   }
 };
 
+/// The evidence and re-rank settings of one RetrievalEngine::FuseAndRank
+/// call. A modality is fused when its pointer is set (and, for examples
+/// and concepts, non-empty); callers run their own fault sites first and
+/// leave a faulted modality out. Pointers must outlive the call.
+struct FusionRequest {
+  const TermQuery* text = nullptr;
+  const std::vector<ColorHistogram>* examples = nullptr;
+  const std::vector<ConceptId>* concepts = nullptr;
+  /// Per-modality candidate pool (top entries kept before fusion).
+  size_t candidate_pool = 0;
+  /// Optional profile re-rank of the fused list, the in-place form of
+  /// RerankWithProfile: score' = (1 - lambda) * norm(score) +
+  /// lambda * affinity(shot). Skipped when `affinity` is empty or
+  /// lambda clamps to 0.
+  double rerank_lambda = 0.0;
+  std::function<double(ShotId)> affinity;
+  /// The caller already served the query without a modality it carried.
+  bool degraded = false;
+};
+
+/// What FuseAndRank returns: the top-k ranking, and whether the query was
+/// served without a modality it carried (never cache such a ranking).
+struct FusedRanking {
+  ResultList results;
+  bool degraded = false;
+};
+
 /// The engine itself is stateless across queries; all personalisation and
 /// feedback adaptation lives above it (AdaptiveEngine). Search is safe to
 /// call from multiple threads concurrently.
@@ -110,6 +138,21 @@ class RetrievalEngine {
   /// merge by query index, never by completion order.
   std::vector<ResultList> BatchSearch(const std::vector<Query>& queries,
                                       size_t k, size_t threads = 0) const;
+
+  /// The one fuse-and-rank pass behind Search and AdaptiveEngine::Search.
+  /// Scores every requested modality into per-thread flat arrays indexed
+  /// by global ShotId, keeps each modality's top `candidate_pool`
+  /// (score desc, id asc), min-max normalises, fuses with the configured
+  /// weights, optionally re-ranks, and selects the top k once. Rankings
+  /// are bit-identical to the list-at-a-time reference:
+  ///   WeightedLinear({SearchTerms, CombSum(SearchVisual per example),
+  ///                   SearchConcepts}) -> RerankWithProfile -> Truncate(k)
+  /// (a single modality's list is used unnormalised, as there). Text is
+  /// served through SearchTerms' cache entries; concept evidence on an
+  /// engine without a concept index is dropped and counted like Search
+  /// does. Thread-safe.
+  FusedRanking FuseAndRank(const FusionRequest& request, size_t k,
+                           SearchDiagnostics* diagnostics = nullptr) const;
 
   /// How many queries so far were answered degraded (a modality silently
   /// unavailable). Monotonic, thread-safe.
@@ -193,6 +236,13 @@ class RetrievalEngine {
   /// Shard containing global shot id, or npos. The local id is
   /// `shot - index_segments_[i].doc_offset`.
   size_t ShardOf(ShotId shot) const;
+  /// SearchTerms(query, k) cut to its first `keep` entries, copying only
+  /// those out of a cache hit (the cache entry stays the full top k).
+  ResultList SearchTermsPrefix(const TermQuery& query, size_t k,
+                               size_t keep) const;
+  /// Counts a concept query dropped because the engine has no concept
+  /// index (logged once per engine).
+  void NoteConceptsDropped(SearchDiagnostics* diagnostics) const;
   /// Uncached concept-bag search merged across shards; requires
   /// concepts_available_.
   ResultList SearchConceptsMerged(const std::vector<ConceptId>& concepts,

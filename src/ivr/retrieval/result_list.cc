@@ -1,6 +1,7 @@
 #include "ivr/retrieval/result_list.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace ivr {
@@ -19,6 +20,13 @@ ResultList::ResultList(std::vector<RankedShot> items)
   // cache and shared across threads, so they must never carry a pending
   // mutation into a const accessor.
   SortNow();
+}
+
+ResultList ResultList::FromRanked(std::vector<RankedShot> ranked) {
+  assert(std::is_sorted(ranked.begin(), ranked.end(), Better));
+  ResultList list;
+  list.items_ = std::move(ranked);
+  return list;
 }
 
 ResultList::ResultList(const ResultList& other) {

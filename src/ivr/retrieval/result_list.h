@@ -38,6 +38,11 @@ class ResultList {
   /// Sorts eagerly so the new list is immediately shareable.
   explicit ResultList(std::vector<RankedShot> items);
 
+  /// Adopts entries already in rank order (score desc, ShotId asc) with
+  /// unique shots, without sorting — for producers that rank themselves
+  /// (searcher hits, the fused pass's top-k).
+  static ResultList FromRanked(std::vector<RankedShot> ranked);
+
   ResultList(const ResultList& other);
   ResultList(ResultList&& other) noexcept;
   ResultList& operator=(const ResultList& other);

@@ -293,6 +293,122 @@ TEST_F(HttpEquivalenceTest, DegradedModalityServingMatchesOverHttp) {
   }
 }
 
+/// One search over HTTP, rendered "shot:score ..." (%.17g).
+std::string SearchOverHttp(HttpClient* client, const std::string& session,
+                           const std::string& query_json, size_t k) {
+  const Result<HttpClientResponse> response = client->Post(
+      "/v1/search",
+      StrFormat("{\"session_id\": %s, \"query\": %s, \"k\": %zu}",
+                JsonQuote(session).c_str(), query_json.c_str(), k));
+  if (!response.ok() || response->status != 200) {
+    ADD_FAILURE() << "search failed: "
+                  << (response.ok() ? response->body
+                                    : response.status().ToString());
+    return "";
+  }
+  const Result<JsonValue> body = JsonValue::Parse(response->body);
+  EXPECT_TRUE(body.ok());
+  std::string out;
+  for (const JsonValue& entry : body->Find("results")->items()) {
+    out += StrFormat("%u:%.17g ",
+                     static_cast<unsigned>(entry.Find("shot")->number_value()),
+                     entry.Find("score")->number_value());
+  }
+  return out;
+}
+
+std::string Render(const ResultList& list) {
+  std::string out;
+  for (const RankedShot& r : list.items()) {
+    out += StrFormat("%u:%.17g ", r.shot, r.score);
+  }
+  return out;
+}
+
+TEST_F(HttpEquivalenceTest, ConceptQueriesAreFusedOverHttpAndDirect) {
+  // Sessions serve concept evidence exactly as RetrievalEngine::Search
+  // does: fused at concept_weight when the engine has a concept index.
+  EngineOptions options;
+  options.use_concepts = true;
+  auto engine = RetrievalEngine::Build(g_->collection, options).value();
+  const AdaptiveEngine adaptive(*engine, AdaptiveOptions(), nullptr);
+  SessionManager manager(adaptive, SessionManagerOptions());
+  const int port = Serve(&manager);
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+  ASSERT_TRUE(manager.BeginSession("c", "").ok());
+
+  const std::vector<ConceptId> concepts = {1, 3};
+  const std::string title = g_->topics.topics[0].title;
+  Query concepts_only;
+  concepts_only.concepts = concepts;
+  Query fused;
+  fused.text = title;
+  fused.concepts = concepts;
+  Query text_only;
+  text_only.text = title;
+
+  const std::string over_http =
+      SearchOverHttp(&client, "c", "{\"concepts\": [1, 3]}", kTopK);
+  const ResultList direct = manager.Search("c", concepts_only, kTopK).value();
+  ASSERT_GT(direct.size(), 0u) << "concepts-only query served empty";
+  EXPECT_EQ(over_http, Render(direct));
+  EXPECT_EQ(Render(direct), Render(engine->Search(concepts_only, kTopK)));
+
+  const std::string fused_http = SearchOverHttp(
+      &client, "c",
+      StrFormat("{\"text\": %s, \"concepts\": [1, 3]}",
+                JsonQuote(title).c_str()),
+      kTopK);
+  const ResultList fused_direct = manager.Search("c", fused, kTopK).value();
+  EXPECT_EQ(fused_http, Render(fused_direct));
+  EXPECT_EQ(Render(fused_direct), Render(engine->Search(fused, kTopK)));
+  EXPECT_NE(Render(fused_direct),
+            Render(manager.Search("c", text_only, kTopK).value()))
+      << "concept evidence did not move the fused ranking";
+  EXPECT_EQ(engine->Health().concepts_dropped, 0u);
+  EXPECT_EQ(engine->num_degraded_queries(), 0u);
+}
+
+TEST_F(HttpEquivalenceTest, ConceptQueriesWithoutAConceptIndexAreCounted) {
+  // No concept index: the concept modality is dropped, counted in
+  // concepts_dropped and marked degraded — never silently ignored.
+  auto engine = RetrievalEngine::Build(g_->collection).value();
+  const AdaptiveEngine adaptive(*engine, AdaptiveOptions(), nullptr);
+  SessionManager manager(adaptive, SessionManagerOptions());
+  const int port = Serve(&manager);
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+  ASSERT_TRUE(manager.BeginSession("d", "").ok());
+
+  EXPECT_EQ(SearchOverHttp(&client, "d", "{\"concepts\": [2]}", kTopK), "");
+  EXPECT_EQ(engine->Health().concepts_dropped, 1u);
+  EXPECT_EQ(engine->num_degraded_queries(), 1u);
+
+  Query concepts_only;
+  concepts_only.concepts = {2};
+  EXPECT_EQ(manager.Search("d", concepts_only, kTopK).value().size(), 0u);
+  EXPECT_EQ(engine->Health().concepts_dropped, 2u);
+  EXPECT_EQ(engine->num_degraded_queries(), 2u);
+
+  // Text still answers; the dropped concepts leave it unchanged.
+  const std::string title = g_->topics.topics[0].title;
+  Query text_only;
+  text_only.text = title;
+  Query with_concepts = text_only;
+  with_concepts.concepts = {2};
+  const std::string over_http = SearchOverHttp(
+      &client, "d",
+      StrFormat("{\"text\": %s, \"concepts\": [2]}",
+                JsonQuote(title).c_str()),
+      kTopK);
+  EXPECT_EQ(over_http,
+            Render(manager.Search("d", with_concepts, kTopK).value()));
+  EXPECT_EQ(over_http, Render(manager.Search("d", text_only, kTopK).value()));
+  EXPECT_EQ(engine->Health().concepts_dropped, 4u);
+  EXPECT_EQ(engine->num_degraded_queries(), 4u);
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace ivr

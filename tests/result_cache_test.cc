@@ -29,7 +29,7 @@ ResultList MakeList(ShotId base, size_t n) {
 TEST(ResultCacheTest, HitReturnsExactInsertedValue) {
   ResultCache cache;
   const ResultList value = MakeList(10, 5);
-  cache.Insert("key-a", value, cache.generation());
+  cache.Insert("key-a", value);
   ResultList out;
   ASSERT_TRUE(cache.Lookup("key-a", &out));
   EXPECT_EQ(out.items(), value.items());  // exact doubles, exact order
@@ -49,8 +49,8 @@ TEST(ResultCacheTest, MissOnUnknownKey) {
 
 TEST(ResultCacheTest, ReinsertReplacesValue) {
   ResultCache cache;
-  cache.Insert("key", MakeList(1, 3), cache.generation());
-  cache.Insert("key", MakeList(100, 4), cache.generation());
+  cache.Insert("key", MakeList(1, 3));
+  cache.Insert("key", MakeList(100, 4));
   ResultList out;
   ASSERT_TRUE(cache.Lookup("key", &out));
   EXPECT_EQ(out.items(), MakeList(100, 4).items());
@@ -65,8 +65,7 @@ TEST(ResultCacheTest, LruEvictionRespectsByteBudget) {
   // Each entry charges ~128 overhead + key + 10*16 item bytes, so the
   // budget holds a handful; keep inserting until eviction must occur.
   for (int i = 0; i < 32; ++i) {
-    cache.Insert("entry-" + std::to_string(i), MakeList(1, 10),
-                 cache.generation());
+    cache.Insert("entry-" + std::to_string(i), MakeList(1, 10));
   }
   const ResultCacheStats stats = cache.Stats();
   EXPECT_GT(stats.evictions, 0u);
@@ -82,13 +81,12 @@ TEST(ResultCacheTest, LookupRefreshesLruPosition) {
   options.num_shards = 1;
   options.max_bytes = 1024;
   ResultCache cache(options);
-  cache.Insert("hot", MakeList(1, 8), cache.generation());
+  cache.Insert("hot", MakeList(1, 8));
   ResultList out;
   for (int i = 0; i < 16; ++i) {
     // Touch "hot" between fillers: it must never become the LRU victim.
     ASSERT_TRUE(cache.Lookup("hot", &out)) << "evicted after " << i;
-    cache.Insert("filler-" + std::to_string(i), MakeList(50, 8),
-                 cache.generation());
+    cache.Insert("filler-" + std::to_string(i), MakeList(50, 8));
   }
   EXPECT_TRUE(cache.Lookup("hot", &out));
   EXPECT_GT(cache.Stats().evictions, 0u);
@@ -99,40 +97,11 @@ TEST(ResultCacheTest, OversizedInsertRejected) {
   options.num_shards = 1;
   options.max_bytes = 256;
   ResultCache cache(options);
-  cache.Insert("big", MakeList(1, 1000), cache.generation());
+  cache.Insert("big", MakeList(1, 1000));
   ResultList out;
   EXPECT_FALSE(cache.Lookup("big", &out));
   EXPECT_EQ(cache.Stats().rejected_inserts, 1u);
   EXPECT_EQ(cache.Stats().entries, 0u);
-}
-
-TEST(ResultCacheTest, InvalidateAllDropsEntriesAndBumpsGeneration) {
-  ResultCache cache;
-  const uint64_t gen0 = cache.generation();
-  cache.Insert("key", MakeList(1, 3), gen0);
-  cache.InvalidateAll();
-  EXPECT_EQ(cache.generation(), gen0 + 1);
-  ResultList out;
-  EXPECT_FALSE(cache.Lookup("key", &out));
-  EXPECT_EQ(cache.Stats().entries, 0u);
-  EXPECT_EQ(cache.Stats().bytes, 0u);
-  EXPECT_EQ(cache.Stats().invalidations, 1u);
-}
-
-TEST(ResultCacheTest, StaleGenerationInsertRejected) {
-  ResultCache cache;
-  // A compute snapshots the generation, then the collection reloads
-  // (InvalidateAll) before the insert lands: the stale value must not
-  // re-populate the cache.
-  const uint64_t stale = cache.generation();
-  cache.InvalidateAll();
-  cache.Insert("key", MakeList(1, 3), stale);
-  ResultList out;
-  EXPECT_FALSE(cache.Lookup("key", &out));
-  EXPECT_EQ(cache.Stats().rejected_inserts, 1u);
-  // The current generation inserts fine.
-  cache.Insert("key", MakeList(1, 3), cache.generation());
-  EXPECT_TRUE(cache.Lookup("key", &out));
 }
 
 class ResultCacheEngineTest : public ::testing::Test {
@@ -203,17 +172,6 @@ TEST_F(ResultCacheEngineTest, CachedSearchBitIdenticalToUncached) {
     EXPECT_EQ(reference.items(), warm.items()) << topic.title;
   }
   EXPECT_GT(cache_->Stats().hits, 0u);
-}
-
-TEST_F(ResultCacheEngineTest, InvalidateAllForcesRecomputeThatStillMatches) {
-  Query query;
-  query.text = generated_->topics.topics[1].title;
-  const ResultList before = engine_->Search(query, 50);
-  cache_->InvalidateAll();
-  const uint64_t misses_before = cache_->Stats().misses;
-  const ResultList after = engine_->Search(query, 50);
-  EXPECT_GT(cache_->Stats().misses, misses_before);
-  EXPECT_EQ(before.items(), after.items());
 }
 
 }  // namespace

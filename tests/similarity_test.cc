@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 namespace ivr {
 namespace {
 
@@ -61,6 +64,28 @@ TEST(VisualSearcherTest, ScoreAllAlignsWithCorpus) {
     EXPECT_DOUBLE_EQ(
         scores[i],
         ComputeSimilarity(VisualSimilarity::kCosine, corpus[3], corpus[i]));
+  }
+}
+
+TEST(VisualSearcherTest, ScoreAllIntoIsBitIdenticalToComputeSimilarity) {
+  // The interleaved kernel must keep every entry's sum in bin order:
+  // compare raw bits for each kind, a corpus that is not a multiple of
+  // the lane count, and an odd-sized entry mid-block.
+  Rng rng(7);
+  std::vector<ColorHistogram> corpus = MakeCorpus(&rng, 37);
+  corpus[10] = ColorHistogram(std::vector<double>(5, 0.2));
+  const ColorHistogram query = ColorHistogram::RandomPrototype(&rng);
+  for (const VisualSimilarity kind :
+       {VisualSimilarity::kHistogramIntersection, VisualSimilarity::kCosine,
+        VisualSimilarity::kInverseL1}) {
+    const VisualSearcher searcher(corpus, kind);
+    std::vector<double> scores(corpus.size());
+    searcher.ScoreAllInto(query, scores.data());
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      const double expected = ComputeSimilarity(kind, query, corpus[i]);
+      EXPECT_EQ(std::memcmp(&scores[i], &expected, sizeof(double)), 0)
+          << "kind " << static_cast<int>(kind) << " entry " << i;
+    }
   }
 }
 
